@@ -69,8 +69,8 @@ echo "==> flight-recorder smoke (causal trace, post-mortems, renderers)"
 ./target/release/nsr report --metrics "$SMOKE_DIR/inject-metrics.jsonl" \
     --trace "$SMOKE_DIR/inject-trace.jsonl" > "$SMOKE_DIR/flight.md"
 grep -q 'sim.postmortem' "$SMOKE_DIR/flight.md"
-# The analytic decision record must name the solver tier.
-./target/release/nsr explain ft7-nir | grep -q 'sparse GTH'
+# The analytic decision record must name the compiled GTH program.
+./target/release/nsr explain ft7-nir | grep -q 'solver: *compiled GTH program, 255 transient states'
 # Disabled-path overhead stays within a generous threshold of the
 # checked-in obs baseline. Only the disabled/ no-ops are gated: their
 # timings are mode-independent, while enabled-path smoke timings are not

@@ -46,7 +46,7 @@ use nsr_erasure::matrix::GfMatrix;
 use nsr_erasure::placement::Placement;
 use nsr_erasure::rs::ReedSolomon;
 use nsr_linalg::{Lu, Matrix};
-use nsr_markov::{AbsorbingAnalysis, SolverTier};
+use nsr_markov::{AbsorbingAnalysis, BatchSolver};
 use nsr_rng::rngs::StdRng;
 use nsr_rng::SeedableRng;
 use nsr_sim::fleet::FleetSim;
@@ -351,8 +351,9 @@ fn recursive_model(k: u32) -> Result<RecursiveModel, String> {
     .map_err(err("recursive model"))
 }
 
-/// The analytic-kernel suite: LU factor+solve, recursive-chain build and
-/// GTH solve, and (full mode only) a complete Figure-13 evaluation.
+/// The analytic-kernel suite: LU factor+solve, recursive-chain build,
+/// elimination-program compile and GTH solve, and (full mode only) a
+/// complete Figure-13 evaluation.
 pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
     let t = mode.timing();
     let mut results = Vec::new();
@@ -391,17 +392,15 @@ pub fn solvers_suite(mode: Mode) -> Result<Suite, String> {
                 AbsorbingAnalysis::new(&ctmc).expect("analysis")
             }),
         );
-        // Seed baseline: force the dense-GTH tier (the only solver the
-        // repository had before the sparse elimination landed), so each
-        // report carries its own sparse-vs-dense comparison. Only chains
-        // big enough for the sparse tier to engage are interesting.
-        if ctmc.len() >= 16 {
-            results.push(
-                t.measure(&format!("seed_baseline/gth_dense_solve_k{k}"), 0, || {
-                    AbsorbingAnalysis::new_with_tier(&ctmc, SolverTier::DenseGth).expect("dense")
-                }),
-            );
-        }
+        // Compiling the chain's elimination program (symbolic fill,
+        // feeder program, scatter map): the one-off cost each analysis
+        // and each cached evaluator pays before its numeric passes.
+        let root = ctmc.transient_states()[0];
+        results.push(
+            t.measure(&format!("recursive_chain/batch_build_k{k}"), 0, || {
+                BatchSolver::new(&ctmc, root).expect("compile")
+            }),
+        );
         // The topology-cache hot path: rescale a prebuilt skeleton.
         let skeleton = model.chain_skeleton().map_err(err("skeleton"))?;
         let rates = model.transition_rates();
@@ -557,7 +556,7 @@ pub fn plan_suite(mode: Mode) -> Result<Suite, String> {
     // deepest no-RAID chain through one compiled elimination program.
     let config = Configuration::new(InternalRaid::None, 3).map_err(err("cfg"))?;
     let (ctmc, root) = config.exact_chain(&params).map_err(err("chain"))?;
-    let mut solver = nsr_markov::BatchSolver::new(&ctmc, root).map_err(err("solver"))?;
+    let mut solver = BatchSolver::new(&ctmc, root).map_err(err("solver"))?;
     let rates: Vec<f64> = ctmc.transitions().iter().map(|tr| tr.rate).collect();
     results.push(t.measure("batch_solve/ft3_nir", 0, || {
         solver.solve_mtta(&rates).expect("solve")

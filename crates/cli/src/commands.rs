@@ -65,7 +65,7 @@ COMMANDS:
               (from cluster-inject --obs-dir) into one cross-process
               causal tree; --check validates artifacts without rendering
   explain     analytic decision record for one configuration
-              (nsr explain ft2-ir5): chain size/density, solver tier,
+              (nsr explain ft2-ir5): chain size/density, GTH program,
               conditioning, rebuild intermediates, closed-vs-exact delta
   obs-check   validate an nsr-obs JSON-lines file (--file F; checks v2
               span links resolve; --require pat1,pat2 demands records by
@@ -1691,17 +1691,31 @@ mod tests {
 
     #[test]
     fn explain_names_the_solver_tier() {
-        // FT7's 257-state recursive chain is big and sparse enough for
-        // the sparse tier; the FT2 internal-RAID chain (5 states) is not.
-        let sparse = run(&["explain", "ft7-nir"]).unwrap();
-        assert!(sparse.contains("decision record for FT 7"), "{sparse}");
-        assert!(sparse.contains("solver tier:      sparse GTH"), "{sparse}");
-        assert!(sparse.contains("GTH fallback:     not engaged"), "{sparse}");
-        assert!(sparse.contains("closed-form error:"), "{sparse}");
+        // Every chain runs on the compiled GTH program; the line names
+        // its size. FT7's recursive chain has 2⁸ − 1 transient states
+        // and eliminates fill-free in BFS order, as does the FT2
+        // internal-RAID birth–death chain.
+        let ft7 = run(&["explain", "ft7-nir"]).unwrap();
+        assert!(ft7.contains("decision record for FT 7"), "{ft7}");
+        assert!(
+            ft7.contains(
+                "solver:           compiled GTH program, 255 transient states, \
+                 508 structural nonzeros, 0 fill"
+            ),
+            "{ft7}"
+        );
+        assert!(ft7.contains("GTH fallback:     not engaged"), "{ft7}");
+        assert!(ft7.contains("closed-form error:"), "{ft7}");
 
-        let dense = run(&["explain", "--config", "ft2-ir5"]).unwrap();
-        assert!(dense.contains("solver tier:      dense GTH"), "{dense}");
-        assert!(dense.contains("crossover link:"), "{dense}");
+        let ir = run(&["explain", "--config", "ft2-ir5"]).unwrap();
+        assert!(
+            ir.contains(
+                "solver:           compiled GTH program, 3 transient states, \
+                 4 structural nonzeros, 0 fill"
+            ),
+            "{ir}"
+        );
+        assert!(ir.contains("crossover link:"), "{ir}");
 
         assert!(run(&["explain"]).is_err()); // config required
         assert!(run(&["explain", "ft0-zzz"]).is_err());

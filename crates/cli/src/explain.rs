@@ -2,14 +2,14 @@
 //!
 //! Where `nsr eval` prints the *results* for a configuration, `explain`
 //! prints the *decisions* the pipeline made to get there: the exact
-//! chain's size and density, which solver tier the structure selected
-//! (and why), the conditioning of the matrix route, whether the GTH
+//! chain's size and density, the compiled GTH elimination program's
+//! size and fill, the conditioning of the matrix route, whether the GTH
 //! fallback engaged, the rebuild-rate model's intermediates, and how far
 //! the paper's closed form lands from the exact CTMC answer.
 
 use std::fmt::Write as _;
 
-use nsr_markov::{AbsorbingAnalysis, SolverTier};
+use nsr_markov::AbsorbingAnalysis;
 
 use crate::args::{config_name, params_from, parse_config, ParsedArgs};
 use crate::{CliError, Result};
@@ -41,38 +41,11 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
 
     let m = analysis.transient_states().len();
     let absorbing = analysis.absorbing_states().len();
-    // Transient-block density, computed the way the tier selector sees
-    // it: stored transient→transient nonzeros over m².
-    let transient: std::collections::HashSet<_> =
-        analysis.transient_states().iter().copied().collect();
-    let nnz = ctmc
-        .transitions()
-        .iter()
-        .filter(|tr| transient.contains(&tr.from) && transient.contains(&tr.to))
-        .count();
-    let density = if m == 0 {
-        0.0
-    } else {
-        nnz as f64 / (m * m) as f64
-    };
-
-    let tier = analysis.solver_tier();
-    let tier_name = match tier {
-        SolverTier::SparseGth => "sparse GTH",
-        SolverTier::DenseGth => "dense GTH",
-    };
-    let tier_reason = match tier {
-        SolverTier::SparseGth => format!(
-            "{m} transient states >= {} and density {density:.3} <= {}",
-            nsr_markov::SPARSE_MIN_STATES,
-            nsr_markov::SPARSE_MAX_DENSITY
-        ),
-        SolverTier::DenseGth => format!(
-            "{m} transient states < {} or density {density:.3} > {}",
-            nsr_markov::SPARSE_MIN_STATES,
-            nsr_markov::SPARSE_MAX_DENSITY
-        ),
-    };
+    // Transient-block density: the compiled program's structural
+    // transient→transient nonzeros over m².
+    let solver = analysis.solver();
+    let (nnz, fill) = (solver.structural_nnz(), solver.fill());
+    let density = nnz as f64 / (m * m) as f64;
 
     // Matrix-route diagnostics (forces the lazy dense route).
     let lu = analysis.lu_kind().unwrap_or("none (GTH fallback)");
@@ -87,7 +60,7 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
     let exact = eval.exact.mttdl_hours;
     let delta_pct = 100.0 * (closed - exact) / exact;
 
-    span.field("solver_tier", || nsr_obs::Json::Str(tier_name.to_string()));
+    span.field("fill", || nsr_obs::Json::Num(fill as f64));
     span.field("states", || nsr_obs::Json::Num(ctmc.len() as f64));
     span.field("density", || nsr_obs::Json::Num(density));
     span.field("delta_pct", || nsr_obs::Json::Num(delta_pct));
@@ -109,11 +82,10 @@ pub fn explain(args: &ParsedArgs) -> Result<String> {
         out,
         "  transient block:  {nnz} nonzeros, density {density:.3}"
     );
-    let _ = writeln!(out, "  solver tier:      {tier_name} ({tier_reason})");
     let _ = writeln!(
         out,
-        "  elimination fill: {} entries beyond structural nonzeros",
-        analysis.elimination_fill()
+        "  solver:           compiled GTH program, {m} transient states, \
+         {nnz} structural nonzeros, {fill} fill"
     );
     let _ = writeln!(out, "  matrix route:     {lu}");
     if cond.is_finite() {

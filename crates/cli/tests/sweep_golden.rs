@@ -6,7 +6,7 @@
 //! current `nsr figures` path — serially and with several workers — and
 //! require the bytes to be identical to those fixtures, and pin the exact
 //! MTTDL solves to 17 significant digits so any numeric drift in the
-//! sparse/dense solver tiers fails loudly.
+//! GTH elimination fails loudly.
 
 use nsr_cli::args::ParsedArgs;
 use nsr_cli::commands::dispatch;
@@ -147,9 +147,8 @@ fn baseline_exact_solves_are_pinned_to_seventeen_digits() {
 
 #[test]
 fn deep_recursive_chains_are_pinned_to_seventeen_digits() {
-    // k = 5 and k = 7 chains are large enough (m ≥ 16, sparse) to route
-    // through the sparse GTH tier, so these pins prove the sparse
-    // elimination is bit-identical to the dense oracle that captured them.
+    // The k = 5 and k = 7 pins were captured by the dense GTH loop; the
+    // compiled elimination program must reproduce them bit for bit.
     for (k, exact, sector) in [
         (5, "1.00551663154525328e17", "2.67462455395728717e-4"),
         (7, "6.72097315611873085e22", "3.54507990736828565e-8"),

@@ -2,12 +2,15 @@
 //! evaluation: parameters → rebuild rates → Markov models → events per
 //! PB-year.
 
+use nsr_markov::BatchSolver;
+
 use crate::internal_raid::InternalRaidSystem;
 use crate::metrics::Reliability;
 use crate::no_raid::NoRaidSystem;
 use crate::params::Params;
 use crate::raid::{ArrayModel, InternalRaid};
 use crate::rebuild::{RebuildModel, RebuildRate};
+use crate::units::Hours;
 use crate::{Error, Result};
 
 /// One of the paper's redundancy configurations: an internal RAID level
@@ -87,9 +90,9 @@ impl Configuration {
     ///
     /// One-shot convenience over [`CachedEvaluator`]; sweep workloads
     /// that evaluate the same configuration at many parameter points
-    /// should hold a [`CachedEvaluator`] instead, which builds the chain
-    /// topology once and only replaces rates per point. Both paths
-    /// produce identical values by construction.
+    /// should hold a [`CachedEvaluator`] instead, which compiles the
+    /// chain's elimination program once and only loads new rates per
+    /// point. Both paths produce identical values by construction.
     ///
     /// # Errors
     ///
@@ -100,15 +103,150 @@ impl Configuration {
     pub fn evaluate(&self, params: &Params) -> Result<Evaluation> {
         CachedEvaluator::new(*self).evaluate(params)
     }
+
+    /// Builds the exact CTMC underlying this configuration — the chain the
+    /// `exact` numbers of [`Configuration::evaluate`] come from — and the
+    /// id of its fully-operational root state. Useful for transient
+    /// (mission-reliability) queries and for simulation estimators that
+    /// want the chain itself.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Configuration::evaluate`].
+    pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
+        let model = Model::build(*self, params)?;
+        let ctmc = model.skeleton()?.with_rates(&model.rates())?;
+        let root = ctmc
+            .state_by_label(&model.root_label())
+            .expect("root state exists");
+        Ok((ctmc, root))
+    }
+}
+
+/// The paper model of one configuration at one parameter point: the
+/// single Configuration → model construction behind
+/// [`CachedEvaluator::evaluate`], [`Configuration::exact_chain`] and
+/// the planner. It supplies the closed form, the chain skeleton, the
+/// skeleton's rates and the root state's label.
+pub(crate) struct Model {
+    system: System,
+    /// The node rebuild rate `μ_N` used.
+    node_rebuild: RebuildRate,
+    /// The drive-level repair rate used: distributed drive rebuild for
+    /// no-internal-RAID, re-stripe for internal RAID.
+    drive_repair: RebuildRate,
+}
+
+/// The two paper models behind one face.
+enum System {
+    NoRaid(NoRaidSystem),
+    Ir(InternalRaidSystem),
+}
+
+impl Model {
+    /// Builds the model for `config` under `params`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Configuration::evaluate`].
+    pub(crate) fn build(config: Configuration, params: &Params) -> Result<Model> {
+        params.validate()?;
+        let t = config.node_ft;
+        let rebuild = RebuildModel::new(*params)?;
+        let lambda_n = params.node.failure_rate();
+        let lambda_d = params.drive.failure_rate();
+        let c_her = params.drive.c_her();
+        let (n, r, d) = (
+            params.system.node_count,
+            params.system.redundancy_set_size,
+            params.node.drives_per_node,
+        );
+        let node_rebuild = rebuild.node_rebuild(t)?;
+        let (system, drive_repair) = match config.internal {
+            InternalRaid::None => {
+                let drive_rebuild = rebuild.drive_rebuild(t)?;
+                let sys = NoRaidSystem::new(
+                    t,
+                    n,
+                    r,
+                    d,
+                    lambda_n,
+                    lambda_d,
+                    node_rebuild.rate,
+                    drive_rebuild.rate,
+                    c_her,
+                )?;
+                (System::NoRaid(sys), drive_rebuild)
+            }
+            raid => {
+                let restripe = rebuild.restripe()?;
+                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
+                let sys = InternalRaidSystem::new(
+                    n,
+                    r,
+                    t,
+                    lambda_n,
+                    array.rates_paper(),
+                    node_rebuild.rate,
+                )?;
+                (System::Ir(sys), restripe)
+            }
+        };
+        Ok(Model {
+            system,
+            node_rebuild,
+            drive_repair,
+        })
+    }
+
+    /// The paper's closed-form MTTDL.
+    pub(crate) fn closed_form_mttdl(&self) -> Hours {
+        match &self.system {
+            System::NoRaid(sys) => sys.mttdl_paper(),
+            System::Ir(sys) => sys.mttdl_paper(),
+        }
+    }
+
+    /// The exact chain's topology with placeholder rates.
+    pub(crate) fn skeleton(&self) -> Result<nsr_markov::Ctmc> {
+        match &self.system {
+            System::NoRaid(sys) => sys.recursive().chain_skeleton(),
+            System::Ir(sys) => sys.chain_skeleton(),
+        }
+    }
+
+    /// The exact chain's rates, one per skeleton transition.
+    pub(crate) fn rates(&self) -> Vec<f64> {
+        match &self.system {
+            System::NoRaid(sys) => sys.recursive().transition_rates(),
+            System::Ir(sys) => sys.transition_rates(),
+        }
+    }
+
+    /// Label of the fully-operational root state.
+    pub(crate) fn root_label(&self) -> String {
+        match &self.system {
+            System::NoRaid(sys) => "0".repeat(sys.fault_tolerance() as usize),
+            System::Ir(_) => "failed:0".to_string(),
+        }
+    }
+
+    /// Compiles the exact chain's elimination program, rooted at the
+    /// fully-operational state.
+    pub(crate) fn compile(&self) -> Result<BatchSolver> {
+        Ok(BatchSolver::from_label(
+            &self.skeleton()?,
+            &self.root_label(),
+        )?)
+    }
 }
 
 /// A reusable evaluator for sweep workloads: the configuration's chain
-/// *topology* (states, labels, transition structure) is built on the
-/// first evaluation and cached; every later evaluation only computes a
-/// fresh rate vector and rescales the cached skeleton via
-/// [`nsr_markov::Ctmc::with_rates`]. Because the models' `ctmc()` is
-/// itself skeleton + rates, the cached path produces chains equal to the
-/// one-shot path by construction.
+/// is compiled into a [`BatchSolver`] elimination program on the first
+/// evaluation and cached; every later evaluation only computes a fresh
+/// rate vector and runs the program on it. The program is bit-identical
+/// to solving the chain rebuilt from scratch, so the cached path equals
+/// the one-shot path by construction.
 ///
 /// The cache key is the configuration alone: for every model in this
 /// crate the topology depends only on the fault tolerance, never on the
@@ -117,48 +255,22 @@ impl Configuration {
 #[derive(Debug, Clone)]
 pub struct CachedEvaluator {
     config: Configuration,
-    skeleton: Option<nsr_markov::Ctmc>,
-    skeleton_builds: u64,
-    skeleton_reuses: u64,
+    solver: Option<BatchSolver>,
 }
 
 impl CachedEvaluator {
-    /// Creates an evaluator for one configuration with an empty topology
+    /// Creates an evaluator for one configuration with an empty program
     /// cache.
     pub fn new(config: Configuration) -> CachedEvaluator {
         CachedEvaluator {
             config,
-            skeleton: None,
-            skeleton_builds: 0,
-            skeleton_reuses: 0,
+            solver: None,
         }
     }
 
     /// The configuration this evaluator serves.
     pub fn config(&self) -> Configuration {
         self.config
-    }
-
-    /// Chain topologies this instance has built (0 or 1; the cache key is
-    /// the configuration, which is fixed per evaluator).
-    pub fn skeleton_builds(&self) -> u64 {
-        self.skeleton_builds
-    }
-
-    /// Evaluations served from the cached topology — the skeleton-reuse
-    /// rate of a sweep or planner workload is
-    /// `reuses / (builds + reuses)`.
-    pub fn skeleton_reuses(&self) -> u64 {
-        self.skeleton_reuses
-    }
-
-    /// Resets the per-instance build/reuse counters (the cached topology
-    /// itself is kept — dropping it would only force a redundant
-    /// rebuild). Lets a caller measure the reuse rate of one phase of a
-    /// longer-lived evaluator.
-    pub fn reset_metrics(&mut self) {
-        self.skeleton_builds = 0;
-        self.skeleton_reuses = 0;
     }
 
     /// Evaluates the configuration at one parameter point (see
@@ -184,151 +296,35 @@ impl CachedEvaluator {
     }
 
     /// Body of [`CachedEvaluator::evaluate`], split out so the tracing
-    /// span can observe the result on both the `None` and internal-RAID
-    /// paths.
+    /// span can observe the result.
     fn evaluate_inner(&mut self, params: &Params) -> Result<Evaluation> {
-        let t = self.config.node_ft;
-        let rebuild = RebuildModel::new(*params)?;
-        let lambda_n = params.node.failure_rate();
-        let lambda_d = params.drive.failure_rate();
-        let c_her = params.drive.c_her();
-        let (n, r, d) = (
-            params.system.node_count,
-            params.system.redundancy_set_size,
-            params.node.drives_per_node,
-        );
-
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        let capacity = params.logical_capacity(t);
-
-        match self.config.internal {
-            InternalRaid::None => {
-                let drive_rebuild = rebuild.drive_rebuild(t)?;
-                let sys = NoRaidSystem::new(
-                    t,
-                    n,
-                    r,
-                    d,
-                    lambda_n,
-                    lambda_d,
-                    node_rebuild.rate,
-                    drive_rebuild.rate,
-                    c_her,
-                )?;
-                let model = sys.recursive();
-                let exact = self.exact_mttdl(
-                    || model.chain_skeleton(),
-                    &model.transition_rates(),
-                    &"0".repeat(t as usize),
-                )?;
-                Ok(Evaluation {
-                    config: self.config,
-                    closed_form: Reliability::from_mttdl(sys.mttdl_paper(), capacity)?,
-                    exact: Reliability::from_mttdl(exact, capacity)?,
-                    node_rebuild,
-                    drive_repair: drive_rebuild,
-                })
+        let model = Model::build(self.config, params)?;
+        let solver = match &mut self.solver {
+            Some(solver) => {
+                crate::obs::SKELETON_REUSES.inc();
+                solver
             }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
-                let sys = InternalRaidSystem::new(
-                    n,
-                    r,
-                    t,
-                    lambda_n,
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?;
-                let exact =
-                    self.exact_mttdl(|| sys.chain_skeleton(), &sys.transition_rates(), "failed:0")?;
-                Ok(Evaluation {
-                    config: self.config,
-                    closed_form: Reliability::from_mttdl(sys.mttdl_paper(), capacity)?,
-                    exact: Reliability::from_mttdl(exact, capacity)?,
-                    node_rebuild,
-                    drive_repair: restripe,
-                })
-            }
-        }
-    }
-
-    /// Exact MTTDL through the topology cache: build the skeleton on the
-    /// first call, rescale it with `rates` on every call, solve.
-    fn exact_mttdl(
-        &mut self,
-        build: impl FnOnce() -> Result<nsr_markov::Ctmc>,
-        rates: &[f64],
-        root_label: &str,
-    ) -> Result<crate::units::Hours> {
-        if self.skeleton.is_none() {
-            crate::obs::SKELETON_BUILDS.inc();
-            self.skeleton_builds += 1;
-            self.skeleton = Some(build()?);
-        } else {
-            crate::obs::SKELETON_REUSES.inc();
-            self.skeleton_reuses += 1;
-        }
-        let skeleton = self.skeleton.as_ref().expect("just built");
-        let chain = skeleton.with_rates(rates)?;
-        let analysis = nsr_markov::AbsorbingAnalysis::new(&chain)?;
-        let root = chain.state_by_label(root_label).expect("root state exists");
-        Ok(crate::units::Hours(analysis.mean_time_to_absorption(root)?))
-    }
-}
-
-impl Configuration {
-    /// Builds the exact CTMC underlying this configuration — the chain the
-    /// `exact` numbers of [`Configuration::evaluate`] come from — and the
-    /// id of its fully-operational root state. Useful for transient
-    /// (mission-reliability) queries and for simulation estimators that
-    /// want the chain itself.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Configuration::evaluate`].
-    pub fn exact_chain(&self, params: &Params) -> Result<(nsr_markov::Ctmc, nsr_markov::StateId)> {
-        params.validate()?;
-        let t = self.node_ft;
-        let rebuild = RebuildModel::new(*params)?;
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        let (ctmc, root_label) = match self.internal {
-            InternalRaid::None => {
-                let sys = NoRaidSystem::new(
-                    t,
-                    params.system.node_count,
-                    params.system.redundancy_set_size,
-                    params.node.drives_per_node,
-                    params.node.failure_rate(),
-                    params.drive.failure_rate(),
-                    node_rebuild.rate,
-                    rebuild.drive_rebuild(t)?.rate,
-                    params.drive.c_her(),
-                )?;
-                (sys.recursive().ctmc()?, "0".repeat(t as usize))
-            }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(
-                    raid,
-                    params.node.drives_per_node,
-                    params.drive.failure_rate(),
-                    restripe.rate,
-                    params.drive.c_her(),
-                )?;
-                let sys = InternalRaidSystem::new(
-                    params.system.node_count,
-                    params.system.redundancy_set_size,
-                    t,
-                    params.node.failure_rate(),
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?;
-                (sys.ctmc()?, "failed:0".to_string())
+            None => {
+                crate::obs::SKELETON_BUILDS.inc();
+                self.solver.insert(model.compile()?)
             }
         };
-        let root = ctmc.state_by_label(&root_label).expect("root state exists");
-        Ok((ctmc, root))
+        let exact = {
+            // The span name every exact absorbing-chain solve carries,
+            // whichever entry point runs it.
+            let mut span = nsr_obs::trace::Span::enter("markov.absorbing.solve");
+            span.field("transient", || nsr_obs::Json::Num(solver.dim() as f64));
+            span.field("fill", || nsr_obs::Json::Num(solver.fill() as f64));
+            solver.solve_mtta(&model.rates())?
+        };
+        let capacity = params.logical_capacity(self.config.node_ft);
+        Ok(Evaluation {
+            config: self.config,
+            closed_form: Reliability::from_mttdl(model.closed_form_mttdl(), capacity)?,
+            exact: Reliability::from_mttdl(Hours(exact), capacity)?,
+            node_rebuild: model.node_rebuild,
+            drive_repair: model.drive_repair,
+        })
     }
 }
 

@@ -35,14 +35,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nsr_markov::BatchSolver;
 
-use crate::config::Configuration;
-use crate::internal_raid::InternalRaidSystem;
+use crate::config::{Configuration, Model};
 use crate::metrics::Reliability;
-use crate::no_raid::NoRaidSystem;
 use crate::params::Params;
 use crate::planner::storage_efficiency;
-use crate::raid::{ArrayModel, InternalRaid};
-use crate::rebuild::RebuildModel;
+use crate::raid::InternalRaid;
 use crate::sweep::claim_chunk;
 use crate::units::{Hours, HOURS_PER_YEAR};
 use crate::{Error, Result};
@@ -224,87 +221,6 @@ impl GridPoint {
     }
 }
 
-/// The closed-form model for one feasible grid point: both paper models
-/// behind one face, so the planner's two passes share the construction
-/// code with [`crate::config::CachedEvaluator::evaluate`].
-enum BuiltModel {
-    NoRaid(NoRaidSystem),
-    Ir(InternalRaidSystem),
-}
-
-impl BuiltModel {
-    fn build(config: Configuration, params: &Params) -> Result<BuiltModel> {
-        params.validate()?;
-        let t = config.node_fault_tolerance();
-        let rebuild = RebuildModel::new(*params)?;
-        let lambda_n = params.node.failure_rate();
-        let lambda_d = params.drive.failure_rate();
-        let c_her = params.drive.c_her();
-        let (n, r, d) = (
-            params.system.node_count,
-            params.system.redundancy_set_size,
-            params.node.drives_per_node,
-        );
-        let node_rebuild = rebuild.node_rebuild(t)?;
-        match config.internal() {
-            InternalRaid::None => {
-                let drive_rebuild = rebuild.drive_rebuild(t)?;
-                Ok(BuiltModel::NoRaid(NoRaidSystem::new(
-                    t,
-                    n,
-                    r,
-                    d,
-                    lambda_n,
-                    lambda_d,
-                    node_rebuild.rate,
-                    drive_rebuild.rate,
-                    c_her,
-                )?))
-            }
-            raid => {
-                let restripe = rebuild.restripe()?;
-                let array = ArrayModel::new(raid, d, lambda_d, restripe.rate, c_her)?;
-                Ok(BuiltModel::Ir(InternalRaidSystem::new(
-                    n,
-                    r,
-                    t,
-                    lambda_n,
-                    array.rates_paper(),
-                    node_rebuild.rate,
-                )?))
-            }
-        }
-    }
-
-    fn closed_form_mttdl(&self) -> Hours {
-        match self {
-            BuiltModel::NoRaid(sys) => sys.mttdl_paper(),
-            BuiltModel::Ir(sys) => sys.mttdl_paper(),
-        }
-    }
-
-    fn skeleton(&self) -> Result<nsr_markov::Ctmc> {
-        match self {
-            BuiltModel::NoRaid(sys) => sys.recursive().chain_skeleton(),
-            BuiltModel::Ir(sys) => sys.chain_skeleton(),
-        }
-    }
-
-    fn rates(&self) -> Vec<f64> {
-        match self {
-            BuiltModel::NoRaid(sys) => sys.recursive().transition_rates(),
-            BuiltModel::Ir(sys) => sys.transition_rates(),
-        }
-    }
-
-    fn root_label(&self, t: u32) -> String {
-        match self {
-            BuiltModel::NoRaid(_) => "0".repeat(t as usize),
-            BuiltModel::Ir(_) => "failed:0".to_string(),
-        }
-    }
-}
-
 /// Topology-class key for elimination-program sharing: the chain
 /// structure depends only on whether the node has internal RAID and on
 /// the fault tolerance — never on `N`, `R`, spares, bandwidth or rates.
@@ -343,7 +259,7 @@ pub struct FrontierPoint {
     /// The feasible point (closed-form fields included).
     pub point: PlanPoint,
     /// Exact MTTDL in hours (batched GTH solve; bit-identical to
-    /// [`Configuration::evaluate`]'s exact tier).
+    /// [`Configuration::evaluate`]'s exact value).
     pub exact_mttdl_hours: f64,
     /// Exact events per PB-year.
     pub exact_events_pb_year: f64,
@@ -424,8 +340,7 @@ fn pass1(base: &Params, space: &ConfigSpace, idx: usize, years: f64) -> StdResul
     let inner = || -> Result<PlanPoint> {
         let config = Configuration::new(point.internal, point.node_ft)?;
         let params = point.params(base);
-        let model = BuiltModel::build(config, &params)?;
-        let mttdl = model.closed_form_mttdl();
+        let mttdl = Model::build(config, &params)?.closed_form_mttdl();
         let closed = Reliability::from_mttdl(mttdl, params.logical_capacity(point.node_ft))?;
         let efficiency = storage_efficiency(&params, config);
         Ok(PlanPoint {
@@ -602,7 +517,7 @@ impl WorkerSolvers {
     /// Exact MTTDL for one survivor through the program cache.
     fn solve(&mut self, base: &Params, p: &PlanPoint) -> Result<f64> {
         let params = p.point.params(base);
-        let model = BuiltModel::build(p.config, &params)?;
+        let model = Model::build(p.config, &params)?;
         let class = TopologyClass {
             internal: p.config.internal() != InternalRaid::None,
             node_ft: p.point.node_ft,
@@ -616,9 +531,7 @@ impl WorkerSolvers {
             std::collections::hash_map::Entry::Vacant(v) => {
                 self.builds += 1;
                 crate::obs::PLAN_SKELETON_BUILDS.inc();
-                let skeleton = model.skeleton()?;
-                let root = model.root_label(p.point.node_ft);
-                v.insert(BatchSolver::from_label(&skeleton, &root)?)
+                v.insert(model.compile()?)
             }
         };
         Ok(solver.solve_mtta(&model.rates())?)

@@ -3,9 +3,9 @@ use std::sync::OnceLock;
 
 use nsr_linalg::{AnyLu, Matrix};
 
+use crate::batch::BatchSolver;
 use crate::builder::StateId;
 use crate::ctmc::Ctmc;
-use crate::sparse::SparseAbsorption;
 use crate::{Error, Result};
 
 /// Exact analysis of a CTMC with absorbing states.
@@ -32,19 +32,16 @@ use crate::{Error, Result};
 /// than updated by differences. The result carries componentwise relative
 /// accuracy `O(n·ε)` independent of the chain's stiffness.
 ///
-/// # Solver tiers
+/// # Solver
 ///
-/// The elimination runs on one of two storage tiers, selected by chain
-/// structure ([`AbsorbingAnalysis::solver_tier`]):
-///
-/// * **Sparse** ([`SolverTier::SparseGth`]): CSR-style rows that visit
-///   only structural nonzeros. Chosen for large sparse chains (the
-///   recursive appendix chains eliminate fill-free in BFS order, so a
-///   solve costs `O(edges)`). The arithmetic is bit-for-bit identical to
-///   the dense tier — same elimination order, same accumulation order.
-/// * **Dense** ([`SolverTier::DenseGth`]): the `m × m` rate table. Used
-///   for small or dense chains, kept as the differential-testing oracle,
-///   and the automatic fallback if the sparse pass fails.
+/// The elimination runs as a compiled [`BatchSolver`] program: the
+/// chain's structure and its fill are resolved once, then each
+/// right-hand side (all ones for the mean times, the inflow rates of
+/// one absorbing state for its absorption probabilities) is one
+/// allocation-free numeric pass that visits only structural nonzeros.
+/// The recursive appendix chains eliminate fill-free in BFS order, so a
+/// pass costs `O(edges)`. The arithmetic is bit-for-bit that of the
+/// textbook dense GTH loop, which the test suite keeps as its oracle.
 ///
 /// The matrix-land quantities ([`AbsorbingAnalysis::det`],
 /// [`AbsorbingAnalysis::expected_time_in`],
@@ -90,21 +87,21 @@ pub struct AbsorbingAnalysis {
     /// ([`DenseRoute`]) can be built lazily, only when a matrix-land
     /// query actually asks for it.
     ctmc: Ctmc,
+    /// The chain's rates in [`Ctmc::transitions`] order (the compiled
+    /// program's rate vector).
+    rates: Vec<f64>,
     /// Transient states in row/column order.
     transient: Vec<StateId>,
-    /// Map from global state index to transient row index.
-    pos: HashMap<usize, usize>,
+    /// Map from global state index to transient row index
+    /// (`usize::MAX` for absorbing states).
+    pos: Vec<usize>,
     /// All absorbing states.
     absorbing: Vec<StateId>,
-    /// The GTH elimination tier selected for this chain.
-    tier: Tier,
-    /// Fill created by the sparse elimination's mean-time pass (0 on the
-    /// dense tier).
-    fill: usize,
-    /// GTH elimination pivots from the mean-time pass. Mathematically the
-    /// diagonal of `U` in an unpivoted `R = LU`, so their product is
-    /// `det(R)` — but each pivot is computed as a sum, never a difference.
-    gth_pivots: Vec<f64>,
+    /// The compiled GTH elimination program for this chain. Its pivots
+    /// are mathematically the diagonal of `U` in an unpivoted `R = LU`,
+    /// so their product is `det(R)` — but each pivot is computed as a
+    /// sum, never a difference.
+    solver: BatchSolver,
     /// `mtta[i]` = expected time to absorption from transient row `i`,
     /// computed by GTH elimination.
     mtta: Vec<f64>,
@@ -113,28 +110,6 @@ pub struct AbsorbingAnalysis {
     absorb_prob: HashMap<usize, Vec<f64>>,
     /// Lazily-built dense absorption matrix and its factorization.
     dense: OnceLock<DenseRoute>,
-}
-
-/// The elimination storage a chain's structure selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverTier {
-    /// CSR-style rows; only structural nonzeros visited.
-    SparseGth,
-    /// Dense `m × m` rate table (the differential-testing oracle, and the
-    /// automatic fallback when the sparse pass fails).
-    DenseGth,
-}
-
-/// Tier-specific elimination state.
-#[derive(Debug)]
-enum Tier {
-    Sparse(SparseAbsorption),
-    Dense {
-        /// Transient-to-transient rates.
-        q: Vec<Vec<f64>>,
-        /// Per-state total rates into the absorbing class.
-        qa: Vec<f64>,
-    },
 }
 
 /// The dense matrix route: absorption matrix plus its (bandwidth-tiered)
@@ -151,83 +126,6 @@ struct DenseRoute {
     lu: Option<AnyLu>,
 }
 
-/// Minimum transient-state count for the sparse tier: below this the
-/// dense table's straight-line loops beat per-entry binary searches.
-pub const SPARSE_MIN_STATES: usize = 16;
-/// Maximum transient-block density for the sparse tier.
-pub const SPARSE_MAX_DENSITY: f64 = 0.25;
-
-/// Subtraction-free (GTH-style) solve of `D_i·x_i = r_i + Σ_j q_ij·x_j`
-/// over the transient states, where `q` holds non-negative transition
-/// rates between transient states, `qa` the non-negative rates into the
-/// absorbing class, and `r` a non-negative right-hand side.
-///
-/// With `r = 1` this yields mean times to absorption; with
-/// `r = (rates into one absorbing state)` it yields the absorption
-/// probabilities into that state.
-///
-/// Returns `(x, exit)` where `exit` holds the elimination pivots `D_t`
-/// (whose product equals `det(R)`).
-///
-/// Every arithmetic operation is on non-negative quantities, which is what
-/// buys stiffness-independent relative accuracy.
-fn gth_solve(
-    mut q: Vec<Vec<f64>>,
-    mut qa: Vec<f64>,
-    mut r: Vec<f64>,
-) -> Result<(Vec<f64>, Vec<f64>)> {
-    let m = qa.len();
-    debug_assert_eq!(q.len(), m);
-    debug_assert_eq!(r.len(), m);
-
-    // Elimination pass: fold state t into the remaining states 0..t.
-    let mut exit = vec![0.0; m]; // D_t at elimination time, reused in back-substitution
-    for t in (0..m).rev() {
-        // Exit rate over *remaining* targets (j < t) plus absorption —
-        // recomputed as a sum (never a difference), the GTH trick.
-        let mut d = qa[t];
-        for &qtj in &q[t][..t] {
-            d += qtj;
-        }
-        if d <= 0.0 {
-            // State t cannot reach absorption once higher states are
-            // eliminated: the chain is reducible w.r.t. absorption.
-            return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
-        }
-        exit[t] = d;
-        // Snapshot row t's live prefix so folding it into rows i < t does
-        // not alias the table being updated.
-        let row_t: Vec<f64> = q[t][..t].to_vec();
-        for i in 0..t {
-            let f = q[i][t] / d;
-            if f == 0.0 {
-                continue;
-            }
-            r[i] += f * r[t];
-            qa[i] += f * qa[t];
-            for (j, &qtj) in row_t.iter().enumerate() {
-                if j != i {
-                    let add = f * qtj;
-                    if add > 0.0 {
-                        q[i][j] += add;
-                    }
-                }
-            }
-        }
-    }
-    // Back-substitution: x_t = (r_t + Σ_{j<t} q_tj·x_j) / D_t — again all
-    // non-negative.
-    let mut x = vec![0.0; m];
-    for t in 0..m {
-        let mut acc = r[t];
-        for (&qtj, &xj) in q[t].iter().zip(x.iter()).take(t) {
-            acc += qtj * xj;
-        }
-        x[t] = acc / exit[t];
-    }
-    Ok((x, exit))
-}
-
 impl AbsorbingAnalysis {
     /// Builds the analysis for a chain.
     ///
@@ -238,22 +136,6 @@ impl AbsorbingAnalysis {
     /// * [`Error::Linalg`] if some transient state cannot reach any
     ///   absorbing state (the absorption matrix is singular).
     pub fn new(ctmc: &Ctmc) -> Result<Self> {
-        Self::build(ctmc, None)
-    }
-
-    /// Builds the analysis forcing a specific elimination tier, bypassing
-    /// the structure-based selection. This is the differential-testing
-    /// entry point: the sparse tier is validated by comparing it
-    /// bit-for-bit against the dense oracle on the same chain.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::new`].
-    pub fn new_with_tier(ctmc: &Ctmc, tier: SolverTier) -> Result<Self> {
-        Self::build(ctmc, Some(tier))
-    }
-
-    fn build(ctmc: &Ctmc, force: Option<SolverTier>) -> Result<Self> {
         let t0 = nsr_obs::metrics_timer();
         let mut span = nsr_obs::trace::Span::enter("markov.absorbing.solve");
         let absorbing = ctmc.absorbing_states();
@@ -264,83 +146,42 @@ impl AbsorbingAnalysis {
         if transient.is_empty() {
             return Err(Error::NoTransientState);
         }
-        let pos: HashMap<usize, usize> = transient
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.0, i))
-            .collect();
+        let mut pos = vec![usize::MAX; ctmc.len()];
+        for (i, s) in transient.iter().enumerate() {
+            pos[s.0] = i;
+        }
         let m = transient.len();
-        let ones = vec![1.0; m];
-
-        // Tier selection: sparse elimination pays only when the chain is
-        // big enough to amortize the per-entry indexing and genuinely
-        // sparse; small or dense chains take the straight-line table.
-        let sparse = SparseAbsorption::from_ctmc(ctmc, &transient, &pos);
-        let want_sparse = match force {
-            Some(SolverTier::SparseGth) => true,
-            Some(SolverTier::DenseGth) => false,
-            None => m >= SPARSE_MIN_STATES && sparse.density() <= SPARSE_MAX_DENSITY,
-        };
-        let mut fill = 0;
-        let (tier, mtta, gth_pivots) = if want_sparse {
-            match sparse.gth_solve(ones.clone()) {
-                Ok(sol) if sol.x.iter().all(|v| v.is_finite()) => {
-                    fill = sol.fill;
-                    (Tier::Sparse(sparse), sol.x, sol.pivots)
-                }
-                // A singular chain fails identically on both tiers, so
-                // propagate rather than retry when the tier was forced.
-                Err(e) if force.is_some() => return Err(e),
-                // A sparse failure (singular chain, or a non-finite result
-                // from rate overflow) retries on the dense oracle; the
-                // tiers are arithmetically identical, so a dense failure
-                // is then a property of the chain, not of the tier.
-                _ => {
-                    crate::obs::SPARSE_FALLBACKS.inc();
-                    Self::dense_tier(ctmc, &transient, &pos, ones)?
-                }
-            }
-        } else {
-            Self::dense_tier(ctmc, &transient, &pos, ones)?
-        };
+        let rates: Vec<f64> = ctmc.transitions().iter().map(|t| t.rate).collect();
+        let mut solver = BatchSolver::new(ctmc, transient[0])?;
+        let mtta = solver.solve(&rates, &vec![1.0; m])?.to_vec();
 
         // Absorption probabilities into each absorbing state: same
         // elimination with the per-target inflow rates as RHS.
         let mut absorb_prob = HashMap::new();
+        let mut inflow = vec![0.0; m];
         for &a in &absorbing {
-            let u = match &tier {
-                Tier::Sparse(sp) => {
-                    let r_target = SparseAbsorption::rates_into(ctmc, &transient, &pos, a);
-                    sp.gth_solve(r_target)?.x
-                }
-                Tier::Dense { q, qa } => {
-                    let (_, r_target) = Self::rate_tables(ctmc, &transient, &pos, Some(a));
-                    gth_solve(q.clone(), qa.clone(), r_target)?.0
-                }
-            };
-            absorb_prob.insert(a.0, u);
+            inflow.fill(0.0);
+            for t in ctmc.transitions().iter().filter(|t| t.to == a) {
+                inflow[pos[t.from.0]] += t.rate;
+            }
+            absorb_prob.insert(a.0, solver.solve(&rates, &inflow)?.to_vec());
         }
 
         let analysis = AbsorbingAnalysis {
             ctmc: ctmc.clone(),
+            rates,
             transient,
             pos,
             absorbing,
-            tier,
-            fill,
-            gth_pivots,
+            solver,
             mtta,
             absorb_prob,
             dense: OnceLock::new(),
         };
         crate::obs::SOLVES.inc();
-        match analysis.solver_tier() {
-            SolverTier::SparseGth => crate::obs::SPARSE_TIER.inc(),
-            SolverTier::DenseGth => crate::obs::DENSE_TIER.inc(),
-        }
         if let Some(t0) = t0 {
             crate::obs::SOLVE_SECONDS.observe(t0.elapsed().as_secs_f64());
-            crate::obs::FILL.observe(analysis.fill as f64);
+            crate::obs::FILL.observe(analysis.solver.fill() as f64);
             // The κ∞ estimate needs the matrix route (materializes and
             // factors `R`), so it is only paid when someone turned
             // metrics on.
@@ -352,30 +193,9 @@ impl AbsorbingAnalysis {
         span.field("absorbing", || {
             nsr_obs::Json::Num(analysis.absorbing.len() as f64)
         });
-        span.field("tier", || {
-            nsr_obs::Json::Str(
-                match analysis.solver_tier() {
-                    SolverTier::SparseGth => "sparse",
-                    SolverTier::DenseGth => "dense",
-                }
-                .into(),
-            )
-        });
-        span.field("fill", || nsr_obs::Json::Num(analysis.fill as f64));
+        span.field("fill", || nsr_obs::Json::Num(analysis.solver.fill() as f64));
         drop(span);
         Ok(analysis)
-    }
-
-    /// Builds the dense elimination tier and runs the mean-time pass.
-    fn dense_tier(
-        ctmc: &Ctmc,
-        transient: &[StateId],
-        pos: &HashMap<usize, usize>,
-        ones: Vec<f64>,
-    ) -> Result<(Tier, Vec<f64>, Vec<f64>)> {
-        let (q, qa) = Self::rate_tables(ctmc, transient, pos, None);
-        let (mtta, pivots) = gth_solve(q.clone(), qa.clone(), ones)?;
-        Ok((Tier::Dense { q, qa }, mtta, pivots))
     }
 
     /// The dense matrix route, built on first use: the absorption matrix
@@ -396,37 +216,12 @@ impl AbsorbingAnalysis {
         })
     }
 
-    /// Solves `R·x = rhs` by GTH elimination on whichever tier this
-    /// analysis selected.
-    fn tier_solve(&self, rhs: Vec<f64>) -> Result<Vec<f64>> {
-        match &self.tier {
-            Tier::Sparse(sp) => Ok(sp.gth_solve(rhs)?.x),
-            Tier::Dense { q, qa } => Ok(gth_solve(q.clone(), qa.clone(), rhs)?.0),
+    /// The transient row of `s`.
+    fn row(&self, s: StateId) -> Result<usize> {
+        match self.pos.get(s.0) {
+            Some(&i) if i != usize::MAX => Ok(i),
+            _ => Err(Error::StateNotTransient { state: s.0 }),
         }
-    }
-
-    /// Extracts the transient-to-transient rate table `q` and, depending on
-    /// `target`, either the rates into *all* absorbing states (`None`) or
-    /// the rates into one specific absorbing state (`Some`), as `qa`.
-    fn rate_tables(
-        ctmc: &Ctmc,
-        transient: &[StateId],
-        pos: &HashMap<usize, usize>,
-        target: Option<StateId>,
-    ) -> (Vec<Vec<f64>>, Vec<f64>) {
-        let m = transient.len();
-        let mut q = vec![vec![0.0; m]; m];
-        let mut qa = vec![0.0; m];
-        for (i, &s) in transient.iter().enumerate() {
-            for &(to, rate) in ctmc.transitions_from(s) {
-                if let Some(&j) = pos.get(&to.0) {
-                    q[i][j] += rate;
-                } else if target.is_none() || target == Some(to) {
-                    qa[i] += rate;
-                }
-            }
-        }
-        (q, qa)
     }
 
     /// The transient states, in the internal row order.
@@ -439,20 +234,10 @@ impl AbsorbingAnalysis {
         &self.absorbing
     }
 
-    /// The solver tier the chain's structure selected for GTH
-    /// elimination.
-    pub fn solver_tier(&self) -> SolverTier {
-        match self.tier {
-            Tier::Sparse(_) => SolverTier::SparseGth,
-            Tier::Dense { .. } => SolverTier::DenseGth,
-        }
-    }
-
-    /// Fill entries created by the sparse elimination's mean-time pass
-    /// beyond the chain's structural nonzeros (0 on the dense tier, and 0
-    /// for the fill-free BFS-ordered recursive chains).
-    pub fn elimination_fill(&self) -> usize {
-        self.fill
+    /// The compiled GTH elimination program behind this analysis: its
+    /// dimension, structural nonzeros and fill describe the solve.
+    pub fn solver(&self) -> &BatchSolver {
+        &self.solver
     }
 
     /// The absorption matrix `R = −Q_B` (row order = [`Self::transient_states`]).
@@ -473,7 +258,7 @@ impl AbsorbingAnalysis {
     pub fn det(&self) -> f64 {
         match &self.dense_route().lu {
             Some(lu) => lu.det(),
-            None => self.gth_pivots.iter().product(),
+            None => self.solver.pivots().iter().product(),
         }
     }
 
@@ -524,11 +309,7 @@ impl AbsorbingAnalysis {
     ///
     /// Returns [`Error::StateNotTransient`] if `from` is absorbing.
     pub fn mean_time_to_absorption(&self, from: StateId) -> Result<f64> {
-        let i = *self
-            .pos
-            .get(&from.0)
-            .ok_or(Error::StateNotTransient { state: from.0 })?;
-        Ok(self.mtta[i])
+        Ok(self.mtta[self.row(from)?])
     }
 
     /// Expected total time spent in transient state `in_state` before
@@ -544,25 +325,18 @@ impl AbsorbingAnalysis {
     ///
     /// Returns [`Error::StateNotTransient`] if either state is absorbing.
     pub fn expected_time_in(&self, from: StateId, in_state: StateId) -> Result<f64> {
-        let i = *self
-            .pos
-            .get(&from.0)
-            .ok_or(Error::StateNotTransient { state: from.0 })?;
-        let j = *self
-            .pos
-            .get(&in_state.0)
-            .ok_or(Error::StateNotTransient { state: in_state.0 })?;
+        let i = self.row(from)?;
+        let j = self.row(in_state)?;
         // (R⁻¹)_{ij} = e_iᵗ R⁻¹ e_j: solve R y = e_j, answer y_i.
         let mut e = vec![0.0; self.transient.len()];
         e[j] = 1.0;
-        let y = match &self.dense_route().lu {
-            Some(lu) => lu.solve(&e)?,
-            // gth_solve computes x with D_i x_i = r_i + Σ_j q_ij x_j,
+        Ok(match &self.dense_route().lu {
+            Some(lu) => lu.solve(&e)?[i],
+            // The GTH solve computes x with D_i x_i = r_i + Σ_j q_ij x_j,
             // which is exactly R x = r, so e_j as RHS yields column j of
             // the fundamental matrix R⁻¹.
-            None => self.tier_solve(e)?,
-        };
-        Ok(y[i])
+            None => self.solver.clone().solve(&self.rates, &e)?[i],
+        })
     }
 
     /// Probability that the chain, started in transient state `from`, is
@@ -573,10 +347,7 @@ impl AbsorbingAnalysis {
     /// * [`Error::StateNotTransient`] if `from` is absorbing.
     /// * [`Error::StateNotAbsorbing`] if `into` is transient.
     pub fn absorption_probability(&self, from: StateId, into: StateId) -> Result<f64> {
-        let i = *self
-            .pos
-            .get(&from.0)
-            .ok_or(Error::StateNotTransient { state: from.0 })?;
+        let i = self.row(from)?;
         let col = self
             .absorb_prob
             .get(&into.0)
@@ -620,11 +391,7 @@ impl AbsorbingAnalysis {
                     what: "initial weights must be >= 0",
                 });
             }
-            let i = *self
-                .pos
-                .get(&s.0)
-                .ok_or(Error::StateNotTransient { state: s.0 })?;
-            acc += w * self.mtta[i];
+            acc += w * self.mtta[self.row(s)?];
             total_w += w;
         }
         if (total_w - 1.0).abs() > 1e-9 {
@@ -639,6 +406,7 @@ impl AbsorbingAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense_oracle::dense_gth;
     use crate::CtmcBuilder;
 
     fn chain(a: f64, mu: f64, b2: f64) -> (Ctmc, StateId, StateId, StateId) {
@@ -867,12 +635,10 @@ mod tests {
         // The LU determinant and the GTH pivot product are the same
         // quantity computed two ways; for a well-conditioned chain they
         // must agree to near machine precision.
-        let pivot_det: f64 = an.gth_pivots.iter().product();
+        let pivot_det: f64 = an.solver().pivots().iter().product();
         assert!((an.det() - pivot_det).abs() / pivot_det < 1e-12);
     }
 
-    /// Deep repairable birth–death chain with absorption off the last
-    /// state — sparse enough (and large enough) to select the sparse tier.
     fn deep_chain(depth: usize) -> (Ctmc, Vec<StateId>) {
         let mut b = CtmcBuilder::new();
         let states: Vec<StateId> = (0..=depth).map(|i| b.add_state(format!("{i}"))).collect();
@@ -887,65 +653,115 @@ mod tests {
 
     #[test]
     fn tier_selection_follows_structure() {
-        // Small chain: dense tier, no fill.
+        // There is one compiled program for every size; its shape follows
+        // the chain's structure. Small chain: two states, no fill.
         let (c, ..) = chain(1e-3, 1.0, 1e-3);
         let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert_eq!(an.solver_tier(), SolverTier::DenseGth);
-        assert_eq!(an.elimination_fill(), 0);
+        assert_eq!((an.solver().dim(), an.solver().fill()), (2, 0));
 
-        // 25 transient states, ~2 nonzeros per row: sparse tier, and the
-        // birth–death structure eliminates fill-free.
+        // 25 transient states, ~2 nonzeros per row: the birth–death
+        // structure folds each state into its one remaining neighbour,
+        // so only the structural nonzeros are held.
         let (c, _) = deep_chain(24);
         let an = AbsorbingAnalysis::new(&c).unwrap();
-        assert_eq!(an.solver_tier(), SolverTier::SparseGth);
-        assert_eq!(an.elimination_fill(), 0);
+        assert_eq!(an.solver().dim(), 25);
+        assert_eq!(an.solver().structural_nnz(), 48);
+        assert_eq!(an.solver().fill(), 0);
     }
 
     #[test]
     fn sparse_tier_is_bit_identical_to_dense_oracle() {
-        let (c, states) = deep_chain(24);
-        let sp = AbsorbingAnalysis::new_with_tier(&c, SolverTier::SparseGth).unwrap();
-        let de = AbsorbingAnalysis::new_with_tier(&c, SolverTier::DenseGth).unwrap();
-        assert_eq!(sp.solver_tier(), SolverTier::SparseGth);
-        assert_eq!(de.solver_tier(), SolverTier::DenseGth);
-        // Same elimination order, same accumulation order: every
-        // GTH-computed quantity matches to the last bit.
-        for &s in &states {
+        // The compiled program (which replaced the sparse tier) uses the
+        // dense oracle's elimination and accumulation order, so every
+        // GTH-computed quantity matches it to the last bit.
+        let depth = 24;
+        let (c, states) = deep_chain(depth);
+        let an = AbsorbingAnalysis::new(&c).unwrap();
+        let m = depth + 1;
+        let mut q = vec![vec![0.0; m]; m];
+        let mut qa = vec![0.0; m];
+        for i in 0..depth {
+            q[i][i + 1] = 1e-3;
+            q[i + 1][i] = 1.0;
+        }
+        qa[depth] = 1e-3;
+        let de = dense_gth(q.clone(), qa.clone(), vec![1.0; m]).unwrap();
+        for (i, &s) in states.iter().enumerate() {
             assert_eq!(
-                sp.mean_time_to_absorption(s).unwrap(),
-                de.mean_time_to_absorption(s).unwrap(),
+                an.mean_time_to_absorption(s).unwrap().to_bits(),
+                de.x[i].to_bits()
             );
         }
-        assert_eq!(sp.gth_pivots, de.gth_pivots);
-        for &a in sp.absorbing_states() {
-            for &s in &states {
+        let pivots: Vec<u64> = an.solver().pivots().iter().map(|p| p.to_bits()).collect();
+        let want: Vec<u64> = de.pivots.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(pivots, want);
+        // One absorbing state: its inflow is `qa` itself.
+        let p = dense_gth(q, qa.clone(), qa).unwrap();
+        for &a in an.absorbing_states() {
+            for (i, &s) in states.iter().enumerate() {
                 assert_eq!(
-                    sp.absorption_probability(s, a).unwrap(),
-                    de.absorption_probability(s, a).unwrap(),
+                    an.absorption_probability(s, a).unwrap().to_bits(),
+                    p.x[i].clamp(0.0, 1.0).to_bits()
                 );
             }
         }
     }
 
     #[test]
-    fn forced_tier_propagates_singularity() {
-        // x <-> y cycle that cannot reach the absorbing z: both forced
-        // tiers must report the same singularity.
+    fn birth_death_chains_eliminate_fill_free() {
+        let lam = 1e-6;
+        let mu = 1.0;
+        let depth = 6;
         let mut b = CtmcBuilder::new();
-        let x = b.add_state("x");
-        let y = b.add_state("y");
-        b.add_state("z");
-        b.add_transition(x, y, 1.0).unwrap();
-        b.add_transition(y, x, 1.0).unwrap();
-        let c = b.build().unwrap();
-        assert!(matches!(
-            AbsorbingAnalysis::new_with_tier(&c, SolverTier::SparseGth).unwrap_err(),
-            Error::Linalg(_)
-        ));
-        assert!(matches!(
-            AbsorbingAnalysis::new_with_tier(&c, SolverTier::DenseGth).unwrap_err(),
-            Error::Linalg(_)
-        ));
+        let states: Vec<StateId> = (0..=depth).map(|i| b.add_state(format!("{i}"))).collect();
+        let dead = b.add_state("dead");
+        for i in 0..depth {
+            b.add_transition(states[i], states[i + 1], lam).unwrap();
+            b.add_transition(states[i + 1], states[i], mu).unwrap();
+        }
+        b.add_transition(states[depth], dead, lam).unwrap();
+        let an = AbsorbingAnalysis::new(&b.build().unwrap()).unwrap();
+        assert_eq!(an.solver().dim(), depth + 1);
+        assert_eq!(an.solver().structural_nnz(), 2 * depth);
+        assert_eq!(
+            an.solver().fill(),
+            0,
+            "birth–death elimination must be fill-free"
+        );
+
+        // Exact product-form first-passage recurrence.
+        let mut t_prev = 0.0;
+        let mut total = 0.0;
+        for i in 0..=depth {
+            let b_i = if i == 0 { 0.0 } else { mu };
+            let t_i = 1.0 / lam + (b_i / lam) * t_prev;
+            total += t_i;
+            t_prev = t_i;
+        }
+        let got = an.mean_time_to_absorption(states[0]).unwrap();
+        assert!((got - total).abs() / total < 1e-10, "{got} vs {total}");
+    }
+
+    #[test]
+    fn overflowing_mtta_is_returned_not_rejected() {
+        // Twenty states in a line, each left at 1e-308 per hour: every
+        // pivot is positive, so the elimination succeeds, but the mean
+        // time to absorption overflows. The non-finite value comes back
+        // as `Ok`, as it always has; only an unreachable absorbing
+        // state is an error.
+        let mut b = CtmcBuilder::new();
+        let states: Vec<StateId> = (0..20).map(|i| b.add_state(format!("{i}"))).collect();
+        let dead = b.add_state("dead");
+        for w in states.windows(2) {
+            b.add_transition(w[0], w[1], 1e-308).unwrap();
+        }
+        b.add_transition(states[19], dead, 1e-308).unwrap();
+        let an = AbsorbingAnalysis::new(&b.build().unwrap()).unwrap();
+        assert_eq!(
+            an.mean_time_to_absorption(states[0]).unwrap(),
+            f64::INFINITY
+        );
+        assert_eq!(an.absorption_probability(states[0], dead).unwrap(), 1.0);
     }
 
     #[test]

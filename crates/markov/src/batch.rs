@@ -1,16 +1,18 @@
-//! Batched absorbing-chain solves over a fixed topology.
+//! The compiled GTH elimination: the crate's one runtime solver for
+//! absorbing chains.
 //!
-//! A capacity-planning grid evaluates the *same* chain skeleton at
-//! thousands of rate points: every grid point with the same topology
-//! class (internal RAID? fault tolerance?) shares states, transitions
-//! and — because GTH elimination order depends only on structure — the
-//! same elimination fill pattern. [`SparseAbsorption`] rediscovers that
-//! pattern (and reallocates its CSR rows) on every solve;
-//! [`BatchSolver`] does the symbolic work once:
+//! GTH elimination (see [`crate::AbsorbingAnalysis`]) folds transient
+//! states into each other from the highest index down. Which entries it
+//! touches, and where fill appears, depends only on the chain's
+//! structure, never on its rates. [`BatchSolver`] does that symbolic
+//! work once per structure:
 //!
 //! 1. **Symbolic elimination** over the skeleton's structure finds every
 //!    fill position the numeric elimination could ever create, producing
-//!    a static CSR layout (structural nonzeros + predicted fill).
+//!    a static CSR layout (structural nonzeros + predicted fill). A
+//!    sorted column index lists each pivot's feeder rows, so the compile
+//!    costs `O(nnz + fill)` updates rather than a scan of every row per
+//!    pivot.
 //! 2. A flat **elimination program** is precompiled: per pivot, the
 //!    feeder rows and the destination slot of every update, resolved to
 //!    CSR indices so the numeric pass is straight-line array arithmetic
@@ -20,23 +22,21 @@
 //!    vector is one pass over the transitions.
 //!
 //! All buffers are allocated at construction; [`BatchSolver::solve_mtta`]
-//! performs **zero allocations** (pinned by an alloc-counting test in
-//! `tests/batch_alloc.rs`).
+//! and [`BatchSolver::solve`] perform **zero allocations** (pinned by an
+//! alloc-counting test in `tests/batch_alloc.rs`).
 //!
 //! # Bit-identical results
 //!
-//! The numeric pass replays [`SparseAbsorption::gth_solve`]'s arithmetic
-//! exactly: same descending elimination order, same ascending-column
-//! accumulation, same `f == 0` / `add > 0` skip guards. Slots that exist
+//! The numeric pass is the textbook dense GTH loop with the structural
+//! zeros left out: descending elimination order, ascending-column
+//! accumulation, and the same `f == 0` / `add > 0` skip guards. A zero
+//! the dense loop would add is an exact `+0.0` identity in a sum of
+//! non-negative terms, so skipping it changes no bit. Slots that exist
 //! structurally but hold a zero rate (the builder would have dropped the
-//! transition; [`Ctmc::with_rates`] does the same) contribute exact
-//! `+0.0` identities to the non-negative sums and are skipped by the
-//! same guards that skip missing entries in the dynamic algorithm, so
-//! the result is bit-for-bit what
-//! `AbsorbingAnalysis::new(&skeleton.with_rates(rates)?)` computes —
-//! on either tier, since the sparse tier is itself pinned bit-identical
-//! to the dense oracle. A test in this module asserts the equality with
-//! `to_bits`.
+//! transition; [`Ctmc::with_rates`] does the same) are skipped by the
+//! same guards. The result is therefore bit-for-bit what the dense loop
+//! computes on `skeleton.with_rates(rates)`; the test suite pins this
+//! with `to_bits` against a dense oracle that lives only in the tests.
 //!
 //! One structural caveat: the solver fixes the transient/absorbing
 //! partition at construction. A rate vector that silences *every*
@@ -70,16 +70,16 @@ struct Feeder {
     dest_start: u32,
 }
 
-/// Destination-slot sentinel for updates that the dynamic algorithm
-/// skips because the fill would land on the feeder's own diagonal
-/// (`j == i`).
+/// Destination-slot sentinel for updates that the dense loop skips
+/// because the fill would land on the feeder's own diagonal (`j == i`).
 const SKIP: u32 = u32::MAX;
 
 /// A reusable solver for many rate vectors over one chain skeleton.
 ///
-/// Construct once per topology class with [`BatchSolver::new`], then
-/// call [`BatchSolver::solve_mtta`] per grid point. See the module docs
-/// for the equality and allocation contracts.
+/// Construct once per topology with [`BatchSolver::new`], then call
+/// [`BatchSolver::solve_mtta`] per rate point, or [`BatchSolver::solve`]
+/// for an arbitrary right-hand side. See the module docs for the
+/// equality and allocation contracts.
 #[derive(Debug, Clone)]
 pub struct BatchSolver {
     /// Transient-state count.
@@ -117,6 +117,18 @@ pub struct BatchSolver {
     solves: u64,
 }
 
+/// Inserts `v` into the sorted vector `row` unless present; returns
+/// whether it was inserted.
+fn insert_sorted(row: &mut Vec<u32>, v: u32) -> bool {
+    match row.binary_search(&v) {
+        Ok(_) => false,
+        Err(k) => {
+            row.insert(k, v);
+            true
+        }
+    }
+}
+
 impl BatchSolver {
     /// Compiles the elimination program for `skeleton`, reporting MTTA
     /// from `root`.
@@ -138,143 +150,129 @@ impl BatchSolver {
                 len: skeleton.len(),
             });
         }
-        let transient = skeleton.transient_states();
-        if transient.is_empty() {
+        let mut pos = vec![u32::MAX; skeleton.len()];
+        let mut m = 0;
+        for s in skeleton.states() {
+            if !skeleton.is_absorbing(s) {
+                pos[s.index()] = m as u32;
+                m += 1;
+            }
+        }
+        if m == 0 {
             return Err(Error::NoTransientState);
         }
-        if transient.len() == skeleton.len() {
+        if m == skeleton.len() {
             return Err(Error::NoAbsorbingState);
         }
-        let mut pos = vec![usize::MAX; skeleton.len()];
-        for (i, s) in transient.iter().enumerate() {
-            pos[s.index()] = i;
-        }
-        if pos[root.index()] == usize::MAX {
+        if pos[root.index()] == u32::MAX {
             return Err(Error::StateNotTransient {
                 state: root.index(),
             });
         }
-        let m = transient.len();
 
-        // Structural pattern and the rate scatter map. Duplicate
-        // transitions between the same pair share a slot (their rates
-        // accumulate, as in `SparseAbsorption::from_ctmc`).
-        let mut rows_sym: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut endpoints = Vec::with_capacity(skeleton.transitions().len());
-        let mut routes = Vec::with_capacity(skeleton.transitions().len());
-        for tr in skeleton.transitions() {
-            let i = pos[tr.from.index()];
-            debug_assert_ne!(i, usize::MAX, "absorbing states have no transitions");
+        // Structural pattern, kept twice: `rows[i]` lists the columns of
+        // row `i` and `cols[j]` the rows of column `j`, both sorted.
+        // Duplicate transitions between the same pair share a slot
+        // (their rates accumulate, as the dense loop's `q[i][j] += rate`
+        // does).
+        let transitions = skeleton.transitions();
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); m];
+        let mut cols: Vec<Vec<u32>> = vec![Vec::new(); m];
+        let mut endpoints = Vec::with_capacity(transitions.len());
+        for tr in transitions {
             endpoints.push((tr.from.index() as u32, tr.to.index() as u32));
-            let j = pos[tr.to.index()];
-            if j == usize::MAX {
-                routes.push(None); // absorbing destination
-            } else {
-                if let Err(k) = rows_sym[i].binary_search(&j) {
-                    rows_sym[i].insert(k, j);
-                }
-                routes.push(Some((i, j)));
+            let (i, j) = (pos[tr.from.index()], pos[tr.to.index()]);
+            debug_assert_ne!(i, u32::MAX, "absorbing states have no transitions");
+            if j != u32::MAX && insert_sorted(&mut rows[i as usize], j) {
+                insert_sorted(&mut cols[j as usize], i);
             }
         }
-        let structural_nnz = rows_sym.iter().map(Vec::len).sum();
+        let structural_nnz = rows.iter().map(Vec::len).sum();
 
         // Symbolic elimination: replay the pivot loop on the pattern
         // alone, inserting every position the numeric pass could fill.
         // The numeric guards (`f == 0`, `add > 0`) can only *skip*
         // positions predicted here, never add new ones, so the final
         // pattern is a static superset holding exact zeros where the
-        // dynamic algorithm holds nothing.
+        // dense loop would add nothing. Eliminating `t` fills only rows
+        // and columns below `t`, so row `t` and column `t` are final
+        // when pivot `t` is reached.
         for t in (0..m).rev() {
-            let prefix: Vec<usize> = rows_sym[t].iter().copied().filter(|&j| j < t).collect();
-            let feeders: Vec<usize> = (0..t)
-                .filter(|&i| rows_sym[i].binary_search(&t).is_ok())
-                .collect();
-            for &i in &feeders {
-                for &j in &prefix {
-                    if j == i {
-                        continue;
-                    }
-                    if let Err(k) = rows_sym[i].binary_search(&j) {
-                        rows_sym[i].insert(k, j);
+            let row_t = std::mem::take(&mut rows[t]);
+            let prefix = &row_t[..row_t.partition_point(|&j| (j as usize) < t)];
+            let col_t = std::mem::take(&mut cols[t]);
+            for &i in col_t.iter().take_while(|&&i| (i as usize) < t) {
+                for &j in prefix {
+                    if j != i && insert_sorted(&mut rows[i as usize], j) {
+                        insert_sorted(&mut cols[j as usize], i);
                     }
                 }
             }
+            rows[t] = row_t;
+            cols[t] = col_t;
         }
 
-        // Freeze the filled pattern as CSR and index it by column.
-        let mut col = Vec::with_capacity(rows_sym.iter().map(Vec::len).sum());
+        // Freeze the filled pattern as CSR.
+        let nnz: usize = rows.iter().map(Vec::len).sum();
+        let mut col = Vec::with_capacity(nnz);
         let mut row_start = Vec::with_capacity(m + 1);
         let mut split = Vec::with_capacity(m);
-        for (i, row) in rows_sym.iter().enumerate() {
+        for (i, row) in rows.iter().enumerate() {
             row_start.push(col.len() as u32);
-            col.extend(row.iter().map(|&j| j as u32));
-            // First entry at or above the diagonal ends the prefix.
-            let base = row_start[i] as usize;
-            split.push((base + row.iter().take_while(|&&j| j < i).count()) as u32);
+            split.push((col.len() + row.partition_point(|&j| (j as usize) < i)) as u32);
+            col.extend_from_slice(row);
         }
         row_start.push(col.len() as u32);
-        let slot_of = |i: usize, j: usize| -> u32 {
-            let lo = row_start[i] as usize;
-            let hi = row_start[i + 1] as usize;
+        let slot_of = |i: u32, j: u32| -> u32 {
+            let lo = row_start[i as usize] as usize;
+            let hi = row_start[i as usize + 1] as usize;
             let k = col[lo..hi]
-                .binary_search(&(j as u32))
+                .binary_search(&j)
                 .expect("pattern contains slot");
             (lo + k) as u32
         };
 
-        let scatter = routes
-            .into_iter()
-            .enumerate()
-            .map(|(idx, route)| match route {
-                None => {
-                    let from = endpoints[idx].0;
-                    Scatter::Absorb(pos[from as usize] as u32)
+        let scatter = transitions
+            .iter()
+            .map(|tr| {
+                let (i, j) = (pos[tr.from.index()], pos[tr.to.index()]);
+                if j == u32::MAX {
+                    Scatter::Absorb(i)
+                } else {
+                    Scatter::Slot(slot_of(i, j))
                 }
-                Some((i, j)) => Scatter::Slot(slot_of(i, j)),
             })
-            .collect::<Vec<_>>();
+            .collect();
 
         // Compile the per-pivot feeder program against the frozen
-        // pattern. Feeders and prefixes read the *final* pattern: fill
-        // into column `t` is only ever created while eliminating pivots
-        // above `t`, and fill into row `t`'s prefix likewise, so by the
-        // time the numeric pass reaches pivot `t` the live structure
-        // equals the static one (extra slots hold exact zeros).
+        // pattern: pivot `t`'s feeders are column `t`'s rows above the
+        // diagonal, ascending (the dense loop's `i` order).
         let mut feeder_start = Vec::with_capacity(m + 1);
         let mut feeders = Vec::new();
         let mut dest = Vec::new();
-        // Iteration below runs t ascending for storage, but the numeric
-        // pass walks pivots descending; feeder_start is indexed by t so
-        // the order of storage is immaterial.
-        for t in 0..m {
+        for (t, col_t) in cols.iter().enumerate() {
             feeder_start.push(feeders.len() as u32);
-            let prefix_lo = row_start[t] as usize;
-            let prefix_hi = split[t] as usize;
-            for i in 0..t {
-                let lo = row_start[i] as usize;
-                let hi = row_start[i + 1] as usize;
-                let Ok(k) = col[lo..hi].binary_search(&(t as u32)) else {
-                    continue;
-                };
+            let prefix = &col[row_start[t] as usize..split[t] as usize];
+            for &i in col_t.iter().take_while(|&&i| (i as usize) < t) {
                 let dest_start = dest.len() as u32;
-                for &cj in &col[prefix_lo..prefix_hi] {
-                    let j = cj as usize;
-                    dest.push(if j == i { SKIP } else { slot_of(i, j) });
-                }
+                dest.extend(
+                    prefix
+                        .iter()
+                        .map(|&j| if j == i { SKIP } else { slot_of(i, j) }),
+                );
                 feeders.push(Feeder {
-                    row: i as u32,
-                    slot_it: (lo + k) as u32,
+                    row: i,
+                    slot_it: slot_of(i, t as u32),
                     dest_start,
                 });
             }
         }
         feeder_start.push(feeders.len() as u32);
 
-        let nnz = col.len();
         crate::obs::BATCH_BUILDS.inc();
         Ok(BatchSolver {
             m,
-            root: pos[root.index()],
+            root: pos[root.index()] as usize,
             endpoints,
             scatter,
             col,
@@ -318,6 +316,11 @@ impl BatchSolver {
         self.scatter.len()
     }
 
+    /// Structural transient-to-transient nonzeros, before fill.
+    pub fn structural_nnz(&self) -> usize {
+        self.structural_nnz
+    }
+
     /// Fill slots the symbolic pass added beyond the structural nonzeros.
     pub fn fill(&self) -> usize {
         self.col.len() - self.structural_nnz
@@ -328,12 +331,19 @@ impl BatchSolver {
         self.solves
     }
 
+    /// The elimination pivots (exit rates `D_t`, in transient-row order)
+    /// written by the last solve; after a successful one their product
+    /// is `det(R)`. They depend on the rates only, not on the
+    /// right-hand side.
+    pub fn pivots(&self) -> &[f64] {
+        &self.exit
+    }
+
     /// Mean time to absorption from the root under `rates` (one rate per
     /// skeleton transition, in [`Ctmc::transitions`] order).
     ///
-    /// Allocation-free; bit-identical to
-    /// `AbsorbingAnalysis::new(&skeleton.with_rates(rates)?)?
-    ///     .mean_time_to_absorption(root)` (see module docs).
+    /// Allocation-free; bit-identical to the dense GTH loop on
+    /// `skeleton.with_rates(rates)` (see module docs).
     ///
     /// # Errors
     ///
@@ -342,6 +352,42 @@ impl BatchSolver {
     /// * [`Error::Linalg`] ([`nsr_linalg::Error::Singular`]) if some state
     ///   cannot reach absorption under these rates.
     pub fn solve_mtta(&mut self, rates: &[f64]) -> Result<f64> {
+        self.rhs.fill(1.0);
+        self.eliminate(rates)?;
+        Ok(self.x[self.root])
+    }
+
+    /// Solves `R·x = rhs` over the transient states (in
+    /// [`Ctmc::transient_states`] order) under `rates`, where `R = −Q_B`
+    /// is the absorption matrix. `rhs = 1` gives the mean times to
+    /// absorption, the rates into one absorbing state give the
+    /// absorption probabilities into it, and `e_j` gives column `j` of
+    /// the fundamental matrix `R⁻¹`.
+    ///
+    /// Allocation-free, with the arithmetic of
+    /// [`BatchSolver::solve_mtta`]. A non-negative `rhs` keeps every
+    /// operation subtraction-free.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidArgument`] if `rhs` does not have one entry per
+    /// transient state, plus the conditions of
+    /// [`BatchSolver::solve_mtta`].
+    pub fn solve(&mut self, rates: &[f64], rhs: &[f64]) -> Result<&[f64]> {
+        if rhs.len() != self.m {
+            return Err(Error::InvalidArgument {
+                what: "right-hand side length must match the transient-state count",
+            });
+        }
+        self.rhs.copy_from_slice(rhs);
+        self.eliminate(rates)?;
+        Ok(&self.x)
+    }
+
+    /// Loads `rates` and runs the compiled elimination against the
+    /// right-hand side already in `self.rhs`, leaving the solution in
+    /// `self.x` and the pivots in `self.exit`.
+    fn eliminate(&mut self, rates: &[f64]) -> Result<()> {
         if rates.len() != self.scatter.len() {
             return Err(Error::InvalidArgument {
                 what: "rate vector length must match the transition count",
@@ -359,7 +405,6 @@ impl BatchSolver {
         }
         self.val.fill(0.0);
         self.qa.fill(0.0);
-        self.rhs.fill(1.0);
         for (&s, &rate) in self.scatter.iter().zip(rates) {
             match s {
                 Scatter::Slot(k) => self.val[k as usize] += rate,
@@ -367,8 +412,10 @@ impl BatchSolver {
             }
         }
 
-        // Forward elimination, pivots descending — the dynamic
-        // algorithm's loop with all searches pre-resolved.
+        // Forward elimination, pivots descending: fold state t into the
+        // remaining states that feed it. The exit rate over the remaining
+        // targets is recomputed as a sum (never a difference) — the GTH
+        // trick.
         for t in (0..self.m).rev() {
             let prefix_lo = self.row_start[t] as usize;
             let prefix_hi = self.split[t] as usize;
@@ -377,6 +424,8 @@ impl BatchSolver {
                 d += self.val[p];
             }
             if d <= 0.0 {
+                // State t cannot reach absorption once higher states are
+                // eliminated: the chain is reducible w.r.t. absorption.
                 return Err(Error::Linalg(nsr_linalg::Error::Singular { pivot: t }));
             }
             self.exit[t] = d;
@@ -409,7 +458,8 @@ impl BatchSolver {
             }
         }
 
-        // Back-substitution, ascending pivots and columns.
+        // Back-substitution, ascending pivots and columns:
+        // x_t = (rhs_t + Σ_{j<t} q_tj·x_j) / D_t — again all non-negative.
         for t in 0..self.m {
             let mut acc = self.rhs[t];
             let lo = self.row_start[t] as usize;
@@ -421,7 +471,7 @@ impl BatchSolver {
         }
         self.solves += 1;
         crate::obs::BATCH_SOLVES.inc();
-        Ok(self.x[self.root])
+        Ok(())
     }
 }
 
@@ -430,7 +480,9 @@ mod tests {
     use super::*;
     use crate::{AbsorbingAnalysis, CtmcBuilder};
 
-    /// Reference answer through the rebuild-from-scratch path.
+    /// Reference answer through the rebuild-from-scratch path (which
+    /// compiles the re-rated chain's own structure, zero-rate
+    /// transitions dropped).
     fn oracle(skeleton: &Ctmc, root: StateId, rates: &[f64]) -> f64 {
         let chain = skeleton.with_rates(rates).unwrap();
         AbsorbingAnalysis::new(&chain)
@@ -469,8 +521,41 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_fill_matches_hand_solution() {
+        // A 4-cycle 0→1→2→3→0 plus absorption from state 2 eliminates
+        // with fill. From state 2 the exit rate is 3 (1 to s3, 2 to
+        // dead); first-step analysis gives x2 = 1/3 + (1/3)·x3,
+        // x3 = 1 + x0, x0 = 1 + x1, x1 = 1 + x2, so x2 = 2 and x0 = 4.
+        let mut b = CtmcBuilder::new();
+        let s: Vec<StateId> = (0..4).map(|i| b.add_state(format!("{i}"))).collect();
+        let dead = b.add_state("dead");
+        for i in 0..4 {
+            b.add_transition(s[i], s[(i + 1) % 4], 1.0).unwrap();
+        }
+        b.add_transition(s[2], dead, 2.0).unwrap();
+        let skel = b.build().unwrap();
+        let mut solver = BatchSolver::new(&skel, s[0]).unwrap();
+        assert!(solver.fill() > 0);
+        assert_eq!(solver.structural_nnz(), 4);
+        let rates: Vec<f64> = skel.transitions().iter().map(|t| t.rate).collect();
+        let x = solver.solve(&rates, &[1.0; 4]).unwrap().to_vec();
+        assert!((x[2] - 2.0).abs() < 1e-12, "{}", x[2]);
+        assert!((x[0] - 4.0).abs() < 1e-12, "{}", x[0]);
+        // The MTTA entry point is the `rhs = 1` solve, read at the root.
+        assert_eq!(solver.solve_mtta(&rates).unwrap().to_bits(), x[0].to_bits());
+        // The pivots multiply to det(R) = 3 − 1 = 2 (one cycle through
+        // the absorbing exit).
+        let det: f64 = solver.pivots().iter().product();
+        assert!((det - 2.0).abs() < 1e-12, "{det}");
+        assert!(matches!(
+            solver.solve(&rates, &[1.0; 3]),
+            Err(Error::InvalidArgument { .. })
+        ));
+    }
+
+    #[test]
     fn cyclic_fill_bit_identical_to_analysis() {
-        // The 4-cycle from the sparse tests: elimination creates fill.
+        // Elimination of a 4-cycle creates fill.
         let mut b = CtmcBuilder::new();
         let s: Vec<StateId> = (0..4).map(|i| b.add_state(format!("{i}"))).collect();
         let dead = b.add_state("dead");

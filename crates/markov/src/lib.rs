@@ -11,10 +11,13 @@
 //! * [`AbsorbingAnalysis`] — mean time to absorption (the paper's MTTDL),
 //!   absorption probabilities, and expected state occupancies, computed
 //!   from the absorption matrix `R = −Q_B` by subtraction-free GTH
-//!   elimination — on a CSR-style sparse tier ([`SparseAbsorption`]) when
-//!   the chain's structure pays for it, on the dense rate table otherwise
-//!   — with a lazily-built LU factorization for matrix-land queries (and
-//!   a GTH fallback when stiffness makes `R` singular in floating point).
+//!   elimination, with a lazily-built LU factorization for matrix-land
+//!   queries (and a GTH fallback when stiffness makes `R` singular in
+//!   floating point).
+//! * [`BatchSolver`] — the compiled GTH elimination every exact solve
+//!   runs on: the chain's structure and fill are resolved once, then
+//!   each rate vector (a sweep or planner point) or right-hand side is
+//!   one allocation-free numeric pass over the structural nonzeros.
 //! * [`validate_generator`] — numerical guardrail rejecting NaN/Inf
 //!   entries, negative rates, and non-zero row sums in externally
 //!   assembled generator matrices.
@@ -61,14 +64,16 @@ mod birth_death;
 mod builder;
 mod classify;
 mod ctmc;
+#[cfg(test)]
+#[path = "../tests/common/dense_oracle.rs"]
+mod dense_oracle;
 mod dot;
 mod error;
 pub mod obs;
 pub mod simulate;
 mod solutions;
-mod sparse;
 
-pub use absorbing::{AbsorbingAnalysis, SolverTier, SPARSE_MAX_DENSITY, SPARSE_MIN_STATES};
+pub use absorbing::AbsorbingAnalysis;
 pub use batch::BatchSolver;
 pub use birth_death::{birth_death_gamma, birth_death_mtta};
 pub use builder::{CtmcBuilder, StateId};
@@ -77,7 +82,6 @@ pub use ctmc::{validate_generator, Ctmc, Transition};
 pub use dot::{to_dot, DotOptions};
 pub use error::Error;
 pub use solutions::{stationary_distribution, transient_distribution, uniformized};
-pub use sparse::{SparseAbsorption, SparseSolution};
 
 /// Crate-local result alias.
 pub type Result<T> = std::result::Result<T, Error>;

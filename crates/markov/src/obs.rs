@@ -12,14 +12,8 @@ pub static SOLVES: Counter = Counter::new("markov.absorbing.solves");
 /// Analyses where LU was singular to working precision and every
 /// matrix-route query fell back to GTH elimination.
 pub static GTH_FALLBACKS: Counter = Counter::new("markov.absorbing.gth_fallback");
-/// Analyses eliminated on the sparse (CSR-style) GTH tier.
-pub static SPARSE_TIER: Counter = Counter::new("markov.absorbing.tier_sparse");
-/// Analyses eliminated on the dense rate-table GTH tier.
-pub static DENSE_TIER: Counter = Counter::new("markov.absorbing.tier_dense");
-/// Sparse eliminations that failed and retried on the dense oracle.
-pub static SPARSE_FALLBACKS: Counter = Counter::new("markov.absorbing.sparse_fallback");
-/// Fill entries created per sparse elimination (0 for the fill-free
-/// BFS-ordered recursive chains).
+/// Fill slots in each analysis's compiled elimination program (0 for the
+/// fill-free BFS-ordered recursive chains).
 pub static FILL: Histogram = Histogram::new("markov.absorbing.fill");
 /// `κ∞(R)` estimates of the absorption matrix, one per solve.
 /// Infinite estimates (GTH fallback in effect) land in the overflow
@@ -28,18 +22,18 @@ pub static CONDITION: Histogram = Histogram::new("markov.absorbing.condition");
 /// Wall seconds per analysis construction (LU attempt + all GTH
 /// elimination passes).
 pub static SOLVE_SECONDS: Histogram = Histogram::new("markov.absorbing.solve_seconds");
-/// Allocation-free batched solves (`BatchSolver::solve_mtta`).
+/// Allocation-free compiled solves (`BatchSolver::solve_mtta` and
+/// `BatchSolver::solve`), including the ones `AbsorbingAnalysis::new`
+/// runs.
 pub static BATCH_SOLVES: Counter = Counter::new("markov.batch.solves");
-/// Elimination programs compiled (`BatchSolver::new`).
+/// Elimination programs compiled (`BatchSolver::new`, one per
+/// `AbsorbingAnalysis::new` as well).
 pub static BATCH_BUILDS: Counter = Counter::new("markov.batch.builds");
 
 /// Registers every metric in this module with the global registry.
 pub fn register() {
     SOLVES.register();
     GTH_FALLBACKS.register();
-    SPARSE_TIER.register();
-    DENSE_TIER.register();
-    SPARSE_FALLBACKS.register();
     FILL.register();
     CONDITION.register();
     SOLVE_SECONDS.register();

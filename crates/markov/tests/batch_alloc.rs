@@ -1,6 +1,6 @@
 //! Pins the `BatchSolver` allocation contract: after construction,
-//! `solve_mtta` performs zero heap allocations, on both fill-free and
-//! fill-producing topologies. A counting global allocator wraps the
+//! `solve_mtta` and the arbitrary right-hand-side `solve` perform zero
+//! heap allocations, on both fill-free and fill-producing topologies. A counting global allocator wraps the
 //! system one; the steady-state assertion is exact, not a threshold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,6 +81,29 @@ fn assert_alloc_free(skel: &Ctmc, root: StateId, what: &str) {
         "{what}: steady-state solve_mtta allocated"
     );
     assert!(all_same, "{what}: solves must be bit-reproducible");
+
+    // The right-hand-side entry point: one unit column per transient
+    // state (the fundamental-matrix solves), buffers all preallocated.
+    let m = solver.dim();
+    let columns: Vec<Vec<f64>> = (0..m)
+        .map(|j| (0..m).map(|i| f64::from(u8::from(i == j))).collect())
+        .collect();
+    let first = solver.solve(&rates, &columns[0]).unwrap()[0];
+    let before = allocations();
+    let mut all_same = true;
+    for _ in 0..10 {
+        for col in &columns {
+            let x = solver.solve(&rates, col).unwrap();
+            all_same &= x.iter().all(|v| v.is_finite() && *v >= 0.0);
+        }
+        all_same &= solver.solve(&rates, &columns[0]).unwrap()[0].to_bits() == first.to_bits();
+    }
+    let after = allocations();
+    assert_eq!(after - before, 0, "{what}: steady-state solve allocated");
+    assert!(
+        all_same,
+        "{what}: rhs solves must be finite and reproducible"
+    );
 }
 
 #[test]
